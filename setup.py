@@ -1,8 +1,8 @@
 """Setuptools shim.
 
 All project metadata lives in ``pyproject.toml``; this file exists only so
-that legacy (non-PEP-660) editable installs — ``pip install -e . --no-use-pep517``
-— work in offline environments that lack the ``wheel`` package.
+that a legacy editable install — ``python setup.py develop --no-deps`` — works
+in offline environments that lack the ``wheel`` package.
 """
 
 from setuptools import setup

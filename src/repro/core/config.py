@@ -172,6 +172,10 @@ class DisclosureConfig:
             )
             if key in data
         }
+        # Releases stored before the "manager" executor was retired name it;
+        # releases are bit-identical across executors, so read it as "process".
+        if kwargs.get("executor") == "manager":
+            kwargs["executor"] = "process"
         if data.get("specialization") is not None:
             kwargs["specialization"] = SpecializationConfig.from_dict(data["specialization"])
         if data.get("release_levels") is not None:

@@ -55,10 +55,8 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from repro.exceptions import TaskTimeoutError, ValidationError, WorkerCrashError
 
-#: Names accepted wherever an executor is selected by string.  ``"manager"``
-#: resolves to :class:`repro.execution.scheduler.ManagerExecutor` (imported
-#: lazily by :func:`make_executor` to keep this module cycle-free).
-EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "thread", "process", "manager")
+#: Names accepted wherever an executor is selected by string.
+EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "thread", "process")
 
 #: The union of types accepted wherever the library takes an executor.
 ExecutorSpec = Union[None, str, "Executor"]
@@ -331,8 +329,8 @@ def make_executor(
     Parameters
     ----------
     spec:
-        ``None`` / ``"serial"``, ``"thread"``, ``"process"``, ``"manager"``
-        or an :class:`Executor` (returned unchanged; the other arguments are
+        ``None`` / ``"serial"``, ``"thread"``, ``"process"`` or an
+        :class:`Executor` (returned unchanged; the other arguments are
         ignored).
     max_workers:
         Pool size for the thread/process executors (defaults to the CPU count).
@@ -347,43 +345,7 @@ def make_executor(
     check_executor_name(spec)
     if spec == "thread":
         return ThreadExecutor(max_workers=max_workers, task_timeout=task_timeout)
-    if spec == "manager":
-        # Imported lazily: scheduler.py imports this module, so a top-level
-        # import here would be circular.
-        from repro.execution.scheduler import ManagerExecutor
-
-        return ManagerExecutor(max_workers=max_workers, task_timeout=task_timeout)
     return ProcessExecutor(max_workers=max_workers, task_timeout=task_timeout)
-
-
-def _check_worker_budget(
-    spec: ExecutorSpec, max_workers: Optional[int], budget: Any
-) -> None:
-    """Reject an executor request that would oversubscribe a worker budget.
-
-    ``budget`` is an int or any object with a ``total`` attribute (e.g. a
-    :class:`repro.execution.scheduler.WorkerBudget` — duck-typed so this
-    module stays import-cycle-free).  Without this check a ``--workers``
-    value above the budget used to be honoured silently; now it is a
-    :class:`ValidationError` before any pool is built.
-    """
-    total = getattr(budget, "total", budget)
-    total = int(total)
-    if total < 1:
-        raise ValidationError(f"worker budget must be >= 1, got {total}")
-    if isinstance(spec, Executor):
-        requested = int(spec.max_workers)
-    elif spec is None or spec == "serial":
-        requested = 1
-    elif max_workers is not None:
-        requested = int(max_workers)
-    else:
-        requested = default_max_workers()
-    if requested > total:
-        raise ValidationError(
-            f"--workers {requested} exceeds the worker budget of {total} slot(s); "
-            f"lower --workers or raise --worker-budget"
-        )
 
 
 @contextmanager
@@ -391,7 +353,6 @@ def executor_scope(
     spec: ExecutorSpec = None,
     max_workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
-    budget: Any = None,
 ) -> Iterator[Executor]:
     """Context manager resolving ``spec`` and closing only pools it created.
 
@@ -399,13 +360,7 @@ def executor_scope(
     lifecycle); a name spec gets a fresh executor that is closed on exit —
     including exception exits, where any work the failure already cancelled
     (see the executors' fail-fast cancellation) keeps the close prompt.
-
-    ``budget`` (an int or an object with a ``total`` attribute) caps the
-    worker count this scope may request: exceeding it raises
-    :class:`ValidationError` instead of silently oversubscribing the host.
     """
-    if budget is not None:
-        _check_worker_budget(spec, max_workers, budget)
     if isinstance(spec, Executor):
         yield spec
         return

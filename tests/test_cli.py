@@ -258,14 +258,22 @@ class TestRefreshCommand:
         assert refreshed == scratch
 
     def test_noop_refresh_spends_nothing(self, tmp_path, capsys):
+        from repro.core.store import ReleaseStore
+
         edges, store_dir = self._publish(tmp_path)
-        code = main(
-            ["refresh", "--store", str(store_dir), "--key", "live", "--input", str(edges), "--seed", "9"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "re-perturbed level(s) none" in out
-        assert "epsilon spent: 0" in out
+        # A release stored under the retired "manager" executor still refreshes.
+        for stored_executor in ("serial", "manager"):
+            store = ReleaseStore(store_dir)
+            release = store.load("live")
+            release.config["executor"] = stored_executor
+            store.save(release, key="live")
+            code = main(
+                ["refresh", "--store", str(store_dir), "--key", "live", "--input", str(edges), "--seed", "9"]
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "re-perturbed level(s) none" in out
+            assert "epsilon spent: 0" in out
 
     def test_refresh_unknown_key_fails_cleanly(self, tmp_path, capsys):
         edges, store_dir = self._publish(tmp_path)
@@ -324,7 +332,7 @@ class TestSweepCommand:
 
 class TestSweepOrchestrationFlags:
     """The scheduler/snapshot switches: --progress, --workers, --worker-budget,
-    --inner-workers, --executor manager."""
+    --inner-workers, --executor process."""
 
     def _run(self, tmp_path, extra=()):
         return main(
@@ -377,10 +385,10 @@ class TestSweepOrchestrationFlags:
         assert err.startswith("repro sweep:")
         assert "--inner-workers must be an integer or 'auto'" in err
 
-    def test_manager_executor_runs_the_sweep(self, tmp_path, capsys):
+    def test_process_executor_runs_the_sweep(self, tmp_path, capsys):
         assert self._run(
             tmp_path,
-            extra=["--executor", "manager", "--workers", "2", "--worker-budget", "2"],
+            extra=["--executor", "process", "--workers", "2", "--worker-budget", "2"],
         ) == 0
         out = capsys.readouterr().out
         assert "2 of 2 combination(s) done" in out

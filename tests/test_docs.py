@@ -142,7 +142,7 @@ class TestArchitecture:
             "RETRYING",
             "WorkerBudget",
             "SweepScheduler",
-            "ManagerExecutor",
+            "max_pool_rebuilds",
             "sweep-progress",
             "on_retry",
         ):
@@ -155,7 +155,7 @@ class TestArchitecture:
             "--workers",
             "--inner-workers",
             "--worker-budget",
-            "--executor manager",
+            "--executor process",
             "sweep-progress",
             "SweepScheduler",
             "SweepSnapshot",

@@ -1,8 +1,10 @@
 """Tests for the pluggable execution backends."""
 
+import time
+
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import TaskTimeoutError, TransientError, ValidationError
 from repro.execution import (
     EXECUTOR_NAMES,
     Executor,
@@ -15,6 +17,7 @@ from repro.execution import (
     executor_scope,
     make_executor,
 )
+from repro.execution.faults import FaultInjectingExecutor, FaultPlan, KillWorkerFault
 
 
 def test_executor_name_resolves_specs():
@@ -30,6 +33,15 @@ def test_executor_name_resolves_specs():
 def _square(value):
     """Module-level so the process executor can pickle it."""
     return value * value
+
+
+def _boom(task):
+    raise TransientError(f"boom {task}")
+
+
+def _sleepy(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 class TestSerialExecutor:
@@ -88,6 +100,42 @@ def test_process_enforces_picklability_even_for_one_task():
     with ProcessExecutor(max_workers=2) as executor:
         with pytest.raises(Exception):  # PicklingError/AttributeError by backend
             executor.map(lambda value: value, [1])
+
+
+class TestProcessExecutor:
+    def test_reusable_across_maps(self):
+        with ProcessExecutor(max_workers=2) as pool:
+            assert pool.map(_square, [1, 2]) == [1, 4]
+            assert pool.map(_square, [3]) == [9]
+
+    def test_task_exception_propagates(self):
+        with ProcessExecutor(max_workers=2) as pool:
+            with pytest.raises(TransientError, match="boom"):
+                pool.map(_boom, [1, 2])
+
+    def test_task_timeout_raises(self):
+        with ProcessExecutor(max_workers=2) as pool:
+            with pytest.raises(TaskTimeoutError):
+                pool.map(_sleepy, [5.0], timeout=0.3)
+
+    def test_rejects_bad_configuration(self):
+        with pytest.raises(ValidationError):
+            ProcessExecutor(max_pool_rebuilds=-1)
+
+    def test_killed_worker_is_recovered_and_announced(self, tmp_path):
+        """A SIGKILL'd worker's tasks are resubmitted (results identical to
+        serial) and the resubmission is announced through ``on_retry``."""
+        plan = FaultPlan({1: (KillWorkerFault(attempts=(1,)),)})
+        inner = ProcessExecutor(max_workers=2)
+        chaos = FaultInjectingExecutor(inner, plan, tmp_path)
+        retried = []
+        chaos.on_retry = retried.append
+        try:
+            assert chaos.map(_square, [3, 4, 5, 6]) == [9, 16, 25, 36]
+        finally:
+            chaos.close()
+        assert chaos.ledger.attempts("map-1", 1) == 2  # killed, then re-ran
+        assert any(1 in indices for indices in retried)
 
 
 class TestFactories:

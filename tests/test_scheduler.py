@@ -1,55 +1,25 @@
-"""Worker-budget negotiation, the manager executor, and the sweep scheduler.
+"""Worker-budget negotiation and the sweep scheduler.
 
 The budget tests lock the ``ValidationError`` message shapes (the CLI shows
-them verbatim), the manager-executor tests hold it to the same contract as
-the other executors — order-preserving, serial-identical, crash-recovering —
-and the scheduler tests prove the negotiated plan reaches the snapshot.
+them verbatim), and the scheduler tests prove the negotiated plan reaches
+the snapshot.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.core.config import DisclosureConfig
-from repro.core.discloser import MultiLevelDiscloser
-from repro.datasets.dblp_like import generate_dblp_like
 from repro.evaluation.sweep import ParameterSweep
-from repro.exceptions import (
-    TaskTimeoutError,
-    TransientError,
-    ValidationError,
-    WorkerCrashError,
-)
+from repro.exceptions import ValidationError
 from repro.execution import (
     AUTO_INNER,
-    EXECUTOR_NAMES,
     BudgetPlan,
-    ManagerExecutor,
     SerialExecutor,
     SweepScheduler,
     ThreadExecutor,
     WorkerBudget,
-    executor_scope,
-    make_executor,
 )
-from repro.execution.faults import FaultInjectingExecutor, FaultPlan, KillWorkerFault
-from repro.grouping.specialization import SpecializationConfig
-from repro.utils.serialization import canonical_json_bytes
-
-
-def _square(task):
-    return task * task
-
-
-def _boom(task):
-    raise TransientError(f"boom {task}")
-
-
-def _sleepy(seconds):
-    time.sleep(seconds)
-    return seconds
+from repro.execution.faults import FaultInjectingExecutor, FaultPlan
 
 
 def _pure_runner(x):
@@ -73,6 +43,8 @@ class TestWorkerBudget:
     def test_plan_defaults_serial_to_one_worker(self):
         plan = WorkerBudget(4).plan()
         assert plan == BudgetPlan(executor="serial", total=4, outer_workers=1, inner_workers=1)
+        # Serial fits any budget, even a single slot.
+        assert WorkerBudget(1).plan(executor=None).outer_workers == 1
 
     def test_plan_pool_executor_takes_the_budget_by_default(self):
         plan = WorkerBudget(4).plan(executor="process")
@@ -88,6 +60,8 @@ class TestWorkerBudget:
         try:
             plan = WorkerBudget(4).plan(executor=pool)
             assert plan.executor == "thread" and plan.outer_workers == 3
+            with pytest.raises(ValidationError, match="exceeds the worker budget of 2"):
+                WorkerBudget(2).plan(executor=pool)
         finally:
             pool.close()
 
@@ -123,137 +97,24 @@ class TestWorkerBudget:
         }
 
 
-class TestExecutorScopeBudget:
-    def test_scope_without_budget_is_unchanged(self):
-        with executor_scope("thread", max_workers=64) as pool:
-            assert pool.max_workers == 64
-
-    def test_scope_rejects_workers_over_int_budget(self):
-        with pytest.raises(ValidationError, match="exceeds the worker budget of 2"):
-            with executor_scope("process", max_workers=3, budget=2):
-                pass
-
-    def test_scope_accepts_budget_objects(self):
-        with pytest.raises(ValidationError, match="exceeds the worker budget"):
-            with executor_scope("thread", max_workers=5, budget=WorkerBudget(4)):
-                pass
-        with executor_scope("thread", max_workers=4, budget=WorkerBudget(4)) as pool:
-            assert pool.max_workers == 4
-
-    def test_scope_checks_executor_instances_too(self):
-        pool = ThreadExecutor(max_workers=8)
-        try:
-            with pytest.raises(ValidationError, match="exceeds the worker budget"):
-                with executor_scope(pool, budget=2):
-                    pass
-        finally:
-            pool.close()
-
-    def test_serial_always_fits_any_budget(self):
-        with executor_scope(None, budget=1) as pool:
-            assert pool.name == "serial"
-
-
-class TestManagerExecutor:
-    def test_registered_in_the_executor_registry(self):
-        assert "manager" in EXECUTOR_NAMES
-        pool = make_executor("manager", max_workers=2)
-        try:
-            assert isinstance(pool, ManagerExecutor)
-            assert pool.max_workers == 2
-        finally:
-            pool.close()
-
-    def test_empty_map(self):
-        with ManagerExecutor(max_workers=2) as pool:
-            assert pool.map(_square, []) == []
-
-    def test_map_preserves_order_and_matches_serial(self):
-        tasks = list(range(12))
-        with ManagerExecutor(max_workers=3) as pool:
-            assert pool.map(_square, tasks) == SerialExecutor().map(_square, tasks)
-
-    def test_reusable_across_maps(self):
-        with ManagerExecutor(max_workers=2) as pool:
-            assert pool.map(_square, [1, 2]) == [1, 4]
-            assert pool.map(_square, [3]) == [9]
-
-    def test_task_exception_propagates(self):
-        with ManagerExecutor(max_workers=2) as pool:
-            with pytest.raises(TransientError, match="boom"):
-                pool.map(_boom, [1, 2])
-
-    def test_task_timeout_raises(self):
-        with ManagerExecutor(max_workers=2) as pool:
-            with pytest.raises(TaskTimeoutError):
-                pool.map(_sleepy, [5.0], timeout=0.3)
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ValidationError):
-            ManagerExecutor(max_workers=0)
-        with pytest.raises(ValidationError):
-            ManagerExecutor(max_pool_rebuilds=-1)
-
-    def test_killed_worker_is_recovered_and_announced(self, tmp_path):
-        """A SIGKILL'd worker's tasks are resubmitted (results identical to
-        serial) and the resubmission is announced through ``on_retry``."""
-        plan = FaultPlan({1: (KillWorkerFault(attempts=(1,)),)})
-        inner = ManagerExecutor(max_workers=2)
-        chaos = FaultInjectingExecutor(inner, plan, tmp_path)
-        retried = []
-        chaos.on_retry = retried.append
-        try:
-            assert chaos.map(_square, [3, 4, 5, 6]) == [9, 16, 25, 36]
-        finally:
-            chaos.close()
-        assert chaos.ledger.attempts("map-1", 1) == 2  # killed, then re-ran
-        assert any(1 in indices for indices in retried)
-
-    def test_repeated_deaths_exhaust_rebuild_budget(self, tmp_path):
-        plan = FaultPlan({0: (KillWorkerFault(attempts=(1, 2, 3, 4)),)})
-        inner = ManagerExecutor(max_workers=2, max_pool_rebuilds=2)
-        chaos = FaultInjectingExecutor(inner, plan, tmp_path)
-        try:
-            with pytest.raises(WorkerCrashError) as excinfo:
-                chaos.map(_square, [1, 2])
-            assert 0 in excinfo.value.unfinished
-        finally:
-            chaos.close()
-
-    def test_disclosure_parity_with_serial(self):
-        """The determinism contract extends to the fourth backend: a
-        manager-parallel disclosure is bit-identical to the serial one."""
-        graph = generate_dblp_like(num_authors=50, seed=1)
-        config = DisclosureConfig(
-            epsilon_g=0.5, specialization=SpecializationConfig(num_levels=4)
-        )
-        baseline = MultiLevelDiscloser(config=config, rng=9).disclose(graph)
-        with ManagerExecutor(max_workers=2) as pool:
-            parallel = MultiLevelDiscloser(config=config, rng=9).disclose(
-                graph, executor=pool
-            )
-        base_doc, par_doc = baseline.to_dict(), parallel.to_dict()
-        # The release's config records which executor produced it (that is
-        # the point of provenance); everything else must be bit-identical.
-        for document in (base_doc, par_doc):
-            document["config"] = {
-                key: value
-                for key, value in document["config"].items()
-                if key not in ("executor", "max_workers")
-            }
-        assert canonical_json_bytes(base_doc) == canonical_json_bytes(par_doc)
-
-
 class TestSweepScheduler:
     def test_scope_yields_executor_sized_to_the_plan(self):
         scheduler = SweepScheduler(executor="thread", workers=2, budget=4)
         with scheduler.scope() as pool:
             assert pool.name == "thread"
             assert pool.max_workers == 2
+        with SweepScheduler(executor="thread", workers=4, budget=WorkerBudget(4)).scope() as pool:
+            assert pool.max_workers == 4
+        with SweepScheduler(executor=None, budget=1).scope() as pool:
+            assert pool.name == "serial"
 
     def test_invalid_request_fails_at_construction(self):
         with pytest.raises(ValidationError, match="exceeds the worker budget"):
             SweepScheduler(executor="process", workers=9, budget=2)
+        with pytest.raises(ValidationError, match="exceeds the worker budget of 2"):
+            SweepScheduler(executor="process", workers=3, budget=2)
+        with pytest.raises(ValidationError, match="exceeds the worker budget of 4"):
+            SweepScheduler(executor="thread", workers=5, budget=WorkerBudget(4))
 
     def test_accepts_executor_instances(self, tmp_path):
         chaos = FaultInjectingExecutor(
